@@ -20,7 +20,9 @@ implementation-sweep benchmark compares.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -32,6 +34,12 @@ from repro.core.constants import (
     VECTOR_HEADER_BITS,
 )
 from repro.core.fastround import fast_round
+from repro.encodings.bitpack import (
+    Buffer,
+    batchable_prefix,
+    join_payloads,
+    unpack_bits,
+)
 from repro.encodings.ffor import (
     FforEncoded,
     ffor_decode,
@@ -207,6 +215,185 @@ def alp_decode_vector(
             decoded[vector.exc_positions.astype(np.int64)] = vector.exc_values
         obs.counter_add("alp.vectors_decoded")
         return decoded
+
+
+def check_vector_layout(
+    total: int,
+    counts: np.ndarray,
+    widths: np.ndarray,
+    lengths: np.ndarray,
+    positions: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Validate a row-group's vectors; return its exception offsets.
+
+    The batched decoders join payloads and offset exception positions
+    across vectors, so damage that a per-vector decode would meet in
+    one vector could spill into its neighbours.  The vector ``counts``
+    must add up to the row-group's ``total``; each payload must have a
+    width in ``[0, 64]`` and exactly ``ceil(count * width / 8)`` bytes
+    (``widths``/``lengths`` are per vector, or one row per payload kind);
+    and every exception position must lie below its vector's count.
+    Raises ``ValueError``, which the storage readers report as a
+    corrupt row-group.  Returns every exception's offset into the
+    row-group, in vector order.
+    """
+    if int(counts.sum()) != total:
+        raise ValueError(
+            f"vectors hold {int(counts.sum())} values, row-group says {total}"
+        )
+    if ((widths < 0) | (widths > 64)).any():
+        raise ValueError("bit width outside [0, 64]")
+    if ((counts * widths + 7) // 8 != lengths).any():
+        raise ValueError("payload length does not match count and bit width")
+    sizes = np.fromiter(map(len, positions), dtype=np.int64, count=len(positions))
+    patched = np.flatnonzero(sizes)
+    if not patched.size:
+        return np.empty(0, dtype=np.int64)
+    where = np.concatenate([positions[i] for i in patched])
+    owner = np.repeat(patched, sizes[patched])
+    if (where >= counts[owner]).any():
+        raise ValueError("exception position outside its vector")
+    starts = np.cumsum(counts) - counts
+    return starts[owner] + where
+
+
+#: Per-vector header fields the batched ALP decode reads, in order.
+_ALP_HEADER_FIELDS = (
+    "count",
+    "ffor.bit_width",
+    "ffor.count",
+    "exc_values.size",
+    "factor",
+    "exponent",
+    "ffor.reference",
+)
+_ALP_HEADER = attrgetter(*_ALP_HEADER_FIELDS)
+
+
+def alp_decode_rowgroup(
+    vectors: Sequence[AlpVector], out: np.ndarray
+) -> np.ndarray:
+    """Decode a row-group's vectors into ``out`` in a fixed number of passes.
+
+    Algorithm 2 run once per row-group instead of once per vector, with
+    every step bit-identical to :func:`alp_decode_vector`:
+
+    1. UNFFOR: vectors are sorted by bit width and each width group's
+       joined payloads are unpacked in one :func:`unpack_bits` call
+       straight into ``out`` viewed as a uint64 ``(vectors, count)``
+       grid; the rows are then put back in vector order in place, and
+       the references are added as a column.
+    2. ALP_dec: the two Formula-2 multiplies run over the ``(vectors,
+       count)`` grid with ``10^f`` and ``10^-e`` as broadcast float64
+       columns (scalars when every vector shares them) — each element
+       still sees the same int64 -> float64 conversion and the same two
+       roundings.
+    3. Patch: one scatter of every vector's exceptions.
+
+    The leading vectors of one shared count (a multiple of 8) form the
+    batch; a ragged last vector decodes through :func:`alp_decode_vector`.
+    ``out`` is a float64 slice of exactly the vectors' total count.
+    """
+    n_vectors = len(vectors)
+    header = np.array(list(map(_ALP_HEADER, vectors)), dtype=np.int64)
+    header = header.reshape(n_vectors, len(_ALP_HEADER_FIELDS))
+    payloads = [v.ffor.payload for v in vectors]
+    positions = [v.exc_positions for v in vectors]
+    counts = header[:, 0]
+    if (header[:, 2] != counts).any():
+        raise ValueError("FFOR value count differs from the vector's")
+    if (header[:, 3] != np.fromiter(map(len, positions), np.int64, n_vectors)).any():
+        raise ValueError("exception values and positions differ in number")
+    lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=n_vectors)
+    offsets = check_vector_layout(
+        out.size, counts, header[:, 1], lengths, positions
+    )
+    with obs.span("alp.decode_rowgroup"):
+        batched = batchable_prefix(counts.tolist())
+        pos = 0
+        if batched:
+            pos = batched * int(counts[0])
+            _decode_alp_batch(header[:batched], payloads, out[:pos])
+            patched = offsets[offsets < pos]
+            if patched.size:
+                # Offsets run in vector order, so the batch's come first.
+                values = np.concatenate(
+                    [vectors[i].exc_values for i in np.flatnonzero(header[:, 3])]
+                )
+                out[patched] = values[: patched.size]
+        for vector in vectors[batched:]:
+            alp_decode_vector(vector, out=out[pos : pos + vector.count])
+            pos += vector.count
+        return out
+
+
+def _decode_alp_batch(
+    header: np.ndarray, payloads: list[Buffer], out: np.ndarray
+) -> None:
+    """UNFFOR + ALP_dec of equal-count vectors (validated input)."""
+    n_vectors, count = header.shape[0], int(header[0, 0])
+    widths = header[:, 1]
+    order = np.argsort(widths, kind="stable")
+    sorted_widths = widths[order]
+    grid = out.view(np.uint64).reshape(n_vectors, count)
+    stream = join_payloads([payloads[i] for i in order])
+    starts = np.flatnonzero(np.diff(sorted_widths)) + 1
+    bounds = [0, *starts.tolist(), n_vectors]
+    flat = grid.reshape(-1)
+    byte = 0
+    for first, stop in zip(bounds[:-1], bounds[1:], strict=True):
+        width = int(sorted_widths[first])
+        values = (stop - first) * count
+        end = byte + values * width // 8
+        # The 8 bytes past the group (the next group's, or the slack)
+        # spare the phase kernel a padded copy.
+        unpack_bits(
+            stream[byte : end + 8],
+            width,
+            values,
+            out=flat[first * count : stop * count],
+        )
+        byte = end
+    _unsort_rows(grid, order)
+    # The int64 references viewed as uint64: FFOR's wrapping add.
+    grid += header[:, 6:7].view(np.uint64)
+    decoded = out.reshape(n_vectors, count)
+    # Two separate multiplies (Formula 2), as in alp_decode_vector.
+    np.multiply(grid.view(np.int64), _column(F10, header[:, 4]), out=decoded)
+    np.multiply(decoded, _column(IF10, header[:, 5]), out=decoded)
+    obs.counter_add("alp.vectors_decoded", n_vectors)
+
+
+def _unsort_rows(grid: np.ndarray, order: np.ndarray) -> None:
+    """Move row ``j`` of ``grid`` to row ``order[j]``, in place.
+
+    Walks each cycle of the permutation with one spare row, so putting
+    width-sorted vectors back in vector order costs one row copy per
+    displaced vector and no second row-group-sized buffer.
+    """
+    n_rows = len(order)
+    source = np.argsort(order).tolist()  # row ``i`` comes from ``source[i]``
+    done = [i == source[i] for i in range(n_rows)]
+    spare = np.empty_like(grid[0])
+    for start in range(n_rows):
+        if done[start]:
+            continue
+        spare[...] = grid[start]
+        row = start
+        for _ in range(n_rows):  # one step per row of this cycle
+            done[row] = True
+            if source[row] == start:
+                grid[row] = spare
+                break
+            grid[row] = grid[source[row]]
+            row = source[row]
+
+
+def _column(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table[index]`` as a broadcast column, or one scalar if uniform."""
+    if (index == index[0]).all():
+        return table[index[0]]
+    return table[index][:, None]
 
 
 def alp_decode_vector_scalar(vector: AlpVector) -> np.ndarray:

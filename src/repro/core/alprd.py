@@ -17,18 +17,25 @@ Decoding bit-unpacks both parts, patches left-part exceptions, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from repro import obs
 from repro.alputil.bits import bits_to_double, double_to_bits
+from repro.core.alp import check_vector_layout
 from repro.core.constants import (
     MAX_RD_LEFT_BITS,
     RD_EXCEPTION_SIZE_BITS,
     VECTOR_SIZE,
 )
 from repro.core.sampler import equidistant_indices
-from repro.encodings.bitpack import pack_bits, unpack_bits
+from repro.encodings.bitpack import (
+    batchable_prefix,
+    join_payloads,
+    pack_bits,
+    unpack_bits,
+)
 from repro.encodings.dictionary import SkewedDictionary
 
 #: How many values per row-group the cut-position search looks at.
@@ -217,17 +224,74 @@ def alprd_decode(
     ``rowgroup.count``-sized float64 slice), letting :func:`decompress`
     fill one preallocated column instead of concatenating per-row-group
     arrays.
+
+    Every vector shares the row-group's right width and code width, so
+    the batch (the leading vectors of one count, a multiple of 8) takes
+    one code unpack, one gather of the pre-shifted dictionary entries
+    straight into ``out`` viewed as uint64, one exception scatter, one
+    right unpack into the codes' spent buffer and one OR — the same
+    elementwise operations :func:`decode_vector_bits` runs per vector,
+    with one row-group-sized scratch.  A ragged last vector decodes
+    through :func:`decode_vector_bits`.
     """
-    if not rowgroup.vectors:
+    vectors = rowgroup.vectors
+    if not vectors:
         return np.empty(0, dtype=np.float64) if out is None else out
+    parameters = rowgroup.parameters
+    right_width = parameters.right_bit_width
+    code_width = parameters.dictionary.code_width
+    target = np.empty(rowgroup.count, dtype=np.float64) if out is None else out
+    n_vectors = len(vectors)
+    counts = np.fromiter(map(attrgetter("count"), vectors), np.int64, n_vectors)
+    rights = [v.right_payload for v in vectors]
+    lefts = [v.left_payload for v in vectors]
+    positions = [v.exc_positions for v in vectors]
+    sizes = np.fromiter(map(len, positions), np.int64, n_vectors)
+    exc_sizes = (v.exc_values.size for v in vectors)
+    if (np.fromiter(exc_sizes, np.int64, n_vectors) != sizes).any():
+        raise ValueError("exception values and positions differ in number")
+    lengths = np.array(
+        [list(map(len, rights)), list(map(len, lefts))], dtype=np.int64
+    ).reshape(2, n_vectors)
+    offsets = check_vector_layout(
+        target.size,
+        counts,
+        np.array([[right_width], [code_width]]),
+        lengths,
+        positions,
+    )
     with obs.span("alprd.decode"):
-        target = np.empty(rowgroup.count, dtype=np.float64) if out is None else out
         bits = target.view(np.uint64)
-        pos = 0
-        for vector in rowgroup.vectors:
+        batched = batchable_prefix(counts.tolist())
+        pos = batched * int(counts[0]) if batched else 0
+        if batched:
+            entries = parameters.dictionary.entries
+            codes = unpack_bits(join_payloads(lefts[:batched]), code_width, pos)
+            if int(codes.max()) >= entries.size:
+                raise IndexError("dictionary code outside the dictionary")
+            shift = np.uint64(right_width)
+            np.take(
+                entries.astype(np.uint64) << shift,
+                codes.view(np.int64),
+                out=bits[:pos],
+                mode="clip",  # codes were bounds-checked just above
+            )
+            patched = offsets[offsets < pos]
+            if patched.size:
+                # Offsets run in vector order, so the batch's come first.
+                values = np.concatenate(
+                    [vectors[i].exc_values for i in np.flatnonzero(sizes)]
+                )
+                bits[patched] = values[: patched.size].astype(np.uint64) << shift
+            # The codes' buffer is spent; reuse it for the right parts.
+            right = unpack_bits(
+                join_payloads(rights[:batched]), right_width, pos, out=codes
+            )
+            bits[:pos] |= right
+        for vector in vectors[batched:]:
             bits[pos : pos + vector.count] = decode_vector_bits(
-                vector, rowgroup.parameters
+                vector, parameters
             )
             pos += vector.count
-        obs.counter_add("alprd.vectors_decoded", len(rowgroup.vectors))
+        obs.counter_add("alprd.vectors_decoded", len(vectors))
         return target

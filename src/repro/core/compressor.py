@@ -19,7 +19,7 @@ import numpy as np
 from repro import obs
 from repro.core.alp import (
     AlpVector,
-    alp_decode_vector,
+    alp_decode_rowgroup,
     alp_encode_rowgroup,
     alp_encode_vector,
 )
@@ -360,24 +360,23 @@ def decode_rowgroup_into(rg: CompressedRowGroup, out: np.ndarray) -> None:
     The canonical decode path: :func:`decompress`,
     :func:`decompress_parallel` and the storage readers'
     ``read_rowgroup``/``read_all`` ``out=`` variants all funnel through
-    here, each vector writing directly into its offset of the caller's
-    buffer.  ``out`` must be a writable float64 array (or slice) of
-    exactly ``rg.count`` values.
+    here.  The whole row-group decodes in a fixed number of numpy
+    passes (:func:`~repro.core.alp.alp_decode_rowgroup`,
+    :func:`~repro.core.alprd.alprd_decode`) straight into the caller's
+    buffer, bit-identical to decoding vector by vector.  ``out`` must be
+    a writable float64 array (or slice) of exactly ``rg.count`` values.
     """
     if out.dtype != np.float64 or out.ndim != 1 or out.size != rg.count:
         raise ValueError(
             f"out must be a 1-D float64 array of {rg.count} values, "
             f"got {out.dtype} with shape {out.shape}"
         )
-    pos = 0
     if rg.alp is not None:
-        for vector in rg.alp.vectors:
-            alp_decode_vector(vector, out=out[pos : pos + vector.count])
-            pos += vector.count
+        alp_decode_rowgroup(rg.alp.vectors, out)
     else:
         if rg.rd is None:
             raise ValueError("row-group has neither ALP nor ALP_rd payload")
-        alprd_decode(rg.rd, out=out[pos : pos + rg.rd.count])
+        alprd_decode(rg.rd, out=out)
 
 
 def coerce_decode_out(

@@ -14,6 +14,7 @@ from __future__ import annotations
 #: Span names (``with obs.span("...")``), one per instrumented phase.
 SPAN_NAMES: frozenset[str] = frozenset(
     {
+        "alp.decode_rowgroup",
         "alp.decode_vector",
         "alp.encode_rowgroup",
         "alp.encode_vector",

@@ -17,15 +17,17 @@ two tiers:
   ``kernels/io`` benchmark, and the path small buffers (headers,
   footers) take.
 - **lane-parallel numpy** (the default for buffers >=
-  ``PARALLEL_MIN_BYTES``): the buffer is split into K equal chunks and
-  all K CRC states advance in lockstep with vectorized table gathers,
-  so each Python-level step folds ``8 * K`` bytes instead of 8.  The
-  per-chunk CRCs are then merged with the standard GF(2)
-  zero-extension operator (the ``crc32_combine`` construction): the
-  byte-update ``s' = (s >> 8) ^ T[(s ^ b) & 0xFF]`` is affine over
-  GF(2), so ``crc(s, a || b) = M_len(b)(crc(s, a)) ^ crc(0, b)`` with
-  ``M_L`` the advance-by-L-zero-bytes matrix, computed once per chunk
-  length by binary exponentiation.
+  ``PARALLEL_MIN_BYTES``): the buffer is split into K chunks of one
+  power-of-two length and all K CRC states advance in lockstep with
+  vectorized table gathers, so each Python-level step folds ``8 * K``
+  bytes instead of 8.  The per-chunk CRCs are then merged with the
+  standard GF(2) zero-extension operator (the ``crc32_combine``
+  construction): the byte-update ``s' = (s >> 8) ^ T[(s ^ b) & 0xFF]``
+  is affine over GF(2), so ``crc(s, a || b) = M_len(b)(crc(s, a)) ^
+  crc(0, b)`` with ``M_L`` the advance-by-L-zero-bytes matrix.  The
+  merge is a pairwise tree of ``log2(K)`` vectorised levels whose
+  right-hand parts all have power-of-two lengths, so the few operator
+  tables it needs are built once and stay cached.
 
 Both tiers accept any C-contiguous buffer-protocol object —
 ``bytes``, ``bytearray``, ``memoryview`` (including slices of an
@@ -51,10 +53,15 @@ _SLICES = 8
 #: threshold is set where the numpy dispatch overhead amortizes.
 PARALLEL_MIN_BYTES = 4096
 
+#: Bytes per CRC lane (doubled while the lanes would exceed
+#: :data:`_MAX_LANES`).  A power of two, so the merge tree only ever
+#: needs advance operators for power-of-two lengths.
+_LANE_BYTES = 64
+
 #: Upper bound on the number of parallel CRC lanes.  More lanes mean
-#: fewer Python-level loop iterations but a longer GF(2) combine pass;
-#: 512 keeps the combine under ~3% of total cost at row-group sizes.
-_MAX_LANES = 512
+#: fewer Python-level steps, each over a longer array; the merge is a
+#: vectorised tree, so its cost grows only with ``log2(lanes)``.
+_MAX_LANES = 16384
 
 
 def _build_tables() -> tuple[tuple[int, ...], ...]:
@@ -179,46 +186,51 @@ def _zero_advance(length: int) -> tuple[int, ...]:
     return mat
 
 
+#: The 8 bits of every byte value, for building byte tables.
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+
+
 @lru_cache(maxsize=64)
-def _zero_advance_tables(length: int) -> tuple[tuple[int, ...], ...]:
-    """The advance operator as four 256-entry byte tables.
+def _zero_advance_tables(length: int) -> np.ndarray:
+    """The advance operator as a ``(4, 256)`` uint32 byte-table array.
 
     Applying a 32x32 matrix bit by bit costs ~32 ops per lane; the
-    table form costs 4 lookups + 3 XORs.  Chunk lengths recur across
-    calls (payload sizes are quantized by the row-group layout), so
-    the one-time table build amortizes via the cache.
+    table form costs 4 lookups + 3 XORs, vectorised over every lane
+    pair of a merge level.  Row ``k`` maps byte ``k`` of a state to its
+    advanced contribution: the XOR of the matrix columns of its set
+    bits.  Lane lengths are powers of two (see :data:`_LANE_BYTES`), so
+    the few lengths ever asked for stay cached.
     """
-    mat = _zero_advance(length)
-    tables = []
-    for byte_pos in range(4):
-        shift = byte_pos * 8
-        tables.append(
-            tuple(_mat_apply(mat, b << shift) for b in range(256))
-        )
-    return tuple(tables)
+    columns = np.array(_zero_advance(length), dtype=np.uint32).reshape(4, 1, 8)
+    picked = np.where(_BYTE_BITS[None], columns, np.uint32(0))
+    tables = np.bitwise_xor.reduce(picked, axis=2)
+    tables.flags.writeable = False  # one cached array, shared by callers
+    return tables
 
 
 def _lanes_update(
     buf: "bytes | bytearray | memoryview", crc: int
 ) -> tuple[int, int]:
-    """Advance ``crc`` over as much of ``buf`` as lanes cover.
+    """Advance ``crc`` over as much of ``buf`` as whole lanes cover.
 
     Returns ``(state, consumed)``; the caller finishes the ragged tail
-    with :func:`_scalar_update`.
+    (under one lane) with :func:`_scalar_update`.  Lane 0 continues the
+    incoming state, every other lane starts from 0, all lanes advance 8
+    bytes per step over a zero-copy view of the buffer, and
+    :func:`_merge_lanes` folds the lane CRCs.
     """
     n = len(buf)
-    lanes = min(_MAX_LANES, max(8, n // 256))
-    chunk_len = (n // lanes) & ~7  # multiple of 8 for the 64-bit step
-    if chunk_len < 64:
-        return crc, 0
-    arr = np.frombuffer(buf, dtype=np.uint8, count=lanes * chunk_len)
-    chunks = arr.reshape(lanes, chunk_len)
-    words = chunks.view("<u4")  # (lanes, chunk_len // 4)
+    lane_len = _LANE_BYTES
+    while n // lane_len > _MAX_LANES:
+        lane_len *= 2
+    lanes = n // lane_len
+    arr = np.frombuffer(buf, dtype=np.uint8, count=lanes * lane_len)
+    words = arr.reshape(lanes, lane_len).view("<u4")
 
     t0, t1, t2, t3, t4, t5, t6, t7 = _NP_TABLES
     states = np.zeros(lanes, dtype=np.uint32)
     states[0] = crc  # lane 0 continues the incoming state
-    for step in range(chunk_len // 8):
+    for step in range(lane_len // 8):
         low = states ^ words[:, 2 * step]
         high = words[:, 2 * step + 1]
         states = (
@@ -231,21 +243,33 @@ def _lanes_update(
             ^ t1[(high >> 16) & 0xFF]
             ^ t0[high >> 24]
         )
+    return _merge_lanes(states, lane_len), lanes * lane_len
 
-    # Merge lane CRCs left to right: crc(s, a || b) over GF(2) is
-    # M_len(b)(crc(s, a)) ^ crc(0, b).
-    a0, a1, a2, a3 = _zero_advance_tables(chunk_len)
-    lane_crcs = states.tolist()
-    state = lane_crcs[0]
-    for lane_crc in lane_crcs[1:]:
-        state = (
-            a0[state & 0xFF]
-            ^ a1[(state >> 8) & 0xFF]
-            ^ a2[(state >> 16) & 0xFF]
-            ^ a3[state >> 24]
-            ^ lane_crc
+
+def _merge_lanes(states: np.ndarray, lane_len: int) -> int:
+    """Fold lane CRCs, left to right, in ``log2(lanes)`` vector levels.
+
+    ``crc(a || b) = M_len(b)(crc(a)) ^ crc(b)`` over GF(2) needs only the
+    right part's length.  Each level pairs neighbours from the right end,
+    so every right part spans exactly ``lane_len * 2**level`` bytes; an
+    odd leftmost lane waits for the next level, where it is a left part.
+    """
+    length = lane_len
+    while states.size > 1:
+        head = states[: states.size % 2]
+        pairs = states[head.size :].reshape(-1, 2)
+        left, right = pairs[:, 0], pairs[:, 1]
+        a0, a1, a2, a3 = _zero_advance_tables(length)
+        merged = (
+            a0[left & 0xFF]
+            ^ a1[(left >> 8) & 0xFF]
+            ^ a2[(left >> 16) & 0xFF]
+            ^ a3[left >> 24]
+            ^ right
         )
-    return state, lanes * chunk_len
+        states = np.concatenate([head, merged])
+        length *= 2
+    return int(states[0])
 
 
 def crc32c(data: object, value: int = 0) -> int:

@@ -15,6 +15,7 @@ Layout of one serialized row-group::
     u16  vector count, then per vector:
          u8 e, u8 f, u16 count,
          i64 ffor reference, u8 ffor bit width, u32 payload len, payload,
+         u32 ffor count,
          u16 exception count, positions (u16 each), values (f64 each)
     -- ALP_rd --
     u8   right bit width, u8 total bits,
@@ -40,6 +41,7 @@ from repro.core.compressor import (
     FirstLevelResult,
 )
 from repro.core.sampler import ExponentFactor
+from repro.encodings.bitpack import Buffer
 from repro.encodings.dictionary import SkewedDictionary
 from repro.encodings.ffor import FforEncoded
 
@@ -162,24 +164,6 @@ def _write_alp_vector(w: ByteWriter, vector: AlpVector) -> None:
     w.array(vector.exc_values.astype("<f8"))
 
 
-def _read_alp_vector(r: ByteReader) -> AlpVector:
-    exponent = r.u8()
-    factor = r.u8()
-    count = r.u16()
-    ffor = _read_ffor(r)
-    n_exc = r.u16()
-    exc_positions = r.array(np.dtype("<u2"), n_exc).astype(np.uint16)
-    exc_values = r.array(np.dtype("<f8"), n_exc).astype(np.float64)
-    return AlpVector(
-        ffor=ffor,
-        exponent=exponent,
-        factor=factor,
-        exc_values=exc_values,
-        exc_positions=exc_positions,
-        count=count,
-    )
-
-
 def _write_rd_vector(w: ByteWriter, vector: AlpRdVector) -> None:
     w.u16(vector.count)
     w.u32(len(vector.left_payload))
@@ -191,20 +175,124 @@ def _write_rd_vector(w: ByteWriter, vector: AlpRdVector) -> None:
     w.array(vector.exc_values.astype("<u2"))
 
 
-def _read_rd_vector(r: ByteReader) -> AlpRdVector:
-    count = r.u16()
-    left = r.raw(r.u32())
-    right = r.raw(r.u32())
-    n_exc = r.u16()
-    exc_positions = r.array(np.dtype("<u2"), n_exc).astype(np.uint16)
-    exc_values = r.array(np.dtype("<u2"), n_exc).astype(np.uint16)
-    return AlpRdVector(
-        left_payload=left,
-        right_payload=right,
-        exc_positions=exc_positions,
-        exc_values=exc_values,
-        count=count,
-    )
+#: Fixed-size framing of one ALP vector around its payload: (e, f,
+#: count, FFOR reference, bit width, payload length) before it, (FFOR
+#: count, exception count) after it.
+_ALP_HEAD = struct.Struct("<BBHqBI")
+_ALP_TAIL = struct.Struct("<IH")
+#: Row-group header (scheme tag, value count) and the ALP_rd
+#: parameters (right width, total bits, dictionary size).
+_RG_HEAD = struct.Struct("<BI")
+_RD_HEAD = struct.Struct("<BBB")
+#: One length prefix (ALP_rd left/right payloads) and one count.
+_U32 = struct.Struct("<I")
+_U16 = struct.Struct("<H")
+
+#: Shared empty exception arrays for the (common) exception-free
+#: vectors; read-only, so no decoder can write through them.
+_NO_U16 = np.empty(0, dtype=np.uint16)
+_NO_U16.flags.writeable = False
+_NO_F64 = np.empty(0, dtype=np.float64)
+_NO_F64.flags.writeable = False
+
+
+def _read_exceptions(
+    buffer: Buffer, pos: int, n_exc: int, stored: str, native: type
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(positions, values, next position) of an exception block.
+
+    One owned copy each (exception arrays outlive the buffer, which may
+    be an mmap); ``frombuffer`` raises on truncation.
+    """
+    positions = np.frombuffer(buffer, "<u2", n_exc, pos).astype(np.uint16)
+    pos += 2 * n_exc
+    values = np.frombuffer(buffer, stored, n_exc, pos).astype(native)
+    return positions, values, pos + values.nbytes
+
+
+def _read_alp_vectors(
+    buffer: Buffer, pos: int, n_vectors: int
+) -> tuple[tuple[AlpVector, ...], int]:
+    """Parse ``n_vectors`` ALP vectors; returns (vectors, next position).
+
+    Each vector's fixed framing is one precompiled ``struct`` unpack on
+    either side of its payload; the payload stays a slice of ``buffer``
+    (a zero-copy view when ``buffer`` is a ``memoryview``).  A payload
+    cut short by the end of ``buffer`` makes the framing read after it
+    raise ``struct.error``.
+    """
+    head, tail = _ALP_HEAD.unpack_from, _ALP_TAIL.unpack_from
+    head_size, tail_size = _ALP_HEAD.size, _ALP_TAIL.size
+    vectors = []
+    for _ in range(n_vectors):
+        exponent, factor, count, reference, width, length = head(buffer, pos)
+        pos += head_size
+        payload = buffer[pos : pos + length]
+        pos += length
+        ffor_count, n_exc = tail(buffer, pos)
+        pos += tail_size
+        if n_exc:
+            positions, values, pos = _read_exceptions(
+                buffer, pos, n_exc, "<f8", np.float64
+            )
+        else:
+            positions, values = _NO_U16, _NO_F64
+        vectors.append(
+            AlpVector(
+                ffor=FforEncoded(
+                    payload=payload,
+                    reference=reference,
+                    bit_width=width,
+                    count=ffor_count,
+                ),
+                exponent=exponent,
+                factor=factor,
+                exc_values=values,
+                exc_positions=positions,
+                count=count,
+            )
+        )
+    return tuple(vectors), pos
+
+
+def _read_rd_vectors(
+    buffer: Buffer, pos: int, n_vectors: int
+) -> tuple[tuple[AlpRdVector, ...], int]:
+    """Parse ``n_vectors`` ALP_rd vectors; returns (vectors, next position).
+
+    As in :func:`_read_alp_vectors`, a truncated payload makes the next
+    framing read raise ``struct.error``.
+    """
+    u16, u32 = _U16.unpack_from, _U32.unpack_from
+    vectors = []
+    for _ in range(n_vectors):
+        (count,) = u16(buffer, pos)
+        (left_len,) = u32(buffer, pos + 2)
+        pos += 6
+        left = buffer[pos : pos + left_len]
+        pos += left_len
+        (right_len,) = u32(buffer, pos)
+        pos += 4
+        right = buffer[pos : pos + right_len]
+        pos += right_len
+        (n_exc,) = u16(buffer, pos)
+        pos += 2
+        if n_exc:
+            positions, values, pos = _read_exceptions(
+                buffer, pos, n_exc, "<u2", np.uint16
+            )
+        else:
+            positions, values = _NO_U16, _NO_U16
+        vectors.append(
+            AlpRdVector(
+                left_payload=left,
+                right_payload=right,
+                exc_positions=positions,
+                exc_values=values,
+                count=count,
+            )
+        )
+    return tuple(vectors), pos
 
 
 def serialize_rowgroup(rowgroup: CompressedRowGroup) -> bytes:
@@ -239,7 +327,7 @@ def serialize_rowgroup(rowgroup: CompressedRowGroup) -> bytes:
 
 
 def deserialize_rowgroup(
-    buffer: bytes, offset: int = 0
+    buffer: Buffer, offset: int = 0
 ) -> tuple[CompressedRowGroup, int]:
     """Deserialize one row-group; returns (row-group, bytes consumed).
 
@@ -247,16 +335,18 @@ def deserialize_rowgroup(
     the act of compressing, not the data), so the deserialized row-group
     carries a placeholder :class:`FirstLevelResult`.
     """
-    r = ByteReader(buffer, offset)
-    scheme = r.u8()
-    count = r.u32()
+    scheme, count = _RG_HEAD.unpack_from(buffer, offset)
+    pos = offset + _RG_HEAD.size
     if scheme == _SCHEME_ALP:
-        n_candidates = r.u8()
+        n_candidates = buffer[pos]
+        pairs = buffer[pos + 1 : pos + 1 + 2 * n_candidates]
         candidates = tuple(
-            ExponentFactor(r.u8(), r.u8()) for _ in range(n_candidates)
+            ExponentFactor(pairs[i], pairs[i + 1])
+            for i in range(0, 2 * n_candidates, 2)
         )
-        n_vectors = r.u16()
-        vectors = tuple(_read_alp_vector(r) for _ in range(n_vectors))
+        pos += 1 + 2 * n_candidates
+        (n_vectors,) = _U16.unpack_from(buffer, pos)
+        vectors, pos = _read_alp_vectors(buffer, pos + 2, n_vectors)
         alp = AlpRowGroup(vectors=vectors, candidates=candidates, count=count)
         rowgroup = CompressedRowGroup(
             alp=alp,
@@ -269,19 +359,25 @@ def deserialize_rowgroup(
             count=count,
         )
     elif scheme == _SCHEME_ALPRD:
-        right_bit_width = r.u8()
-        total_bits = r.u8()
-        n_entries = r.u8()
-        entries = r.array(np.dtype("<u2"), n_entries).astype(np.uint16)
+        right_bit_width, total_bits, n_entries = _RD_HEAD.unpack_from(
+            buffer, pos
+        )
+        pos += _RD_HEAD.size
+        entries = np.frombuffer(buffer, "<u2", n_entries, pos).astype(
+            np.uint16
+        )
+        pos += 2 * n_entries
         width = max(int(entries.size - 1).bit_length(), 0)
         parameters = AlpRdParameters(
             right_bit_width=right_bit_width,
             dictionary=SkewedDictionary(entries=entries, code_width=width),
             total_bits=total_bits,
         )
-        n_vectors = r.u16()
-        vectors = tuple(_read_rd_vector(r) for _ in range(n_vectors))
-        rd = AlpRdRowGroup(parameters=parameters, vectors=vectors, count=count)
+        (n_vectors,) = _U16.unpack_from(buffer, pos)
+        rd_vectors, pos = _read_rd_vectors(buffer, pos + 2, n_vectors)
+        rd = AlpRdRowGroup(
+            parameters=parameters, vectors=rd_vectors, count=count
+        )
         rowgroup = CompressedRowGroup(
             alp=None,
             rd=rd,
@@ -294,7 +390,7 @@ def deserialize_rowgroup(
         )
     else:
         raise ValueError(f"unknown scheme tag {scheme}")
-    return rowgroup, r.position - offset
+    return rowgroup, pos - offset
 
 
 def empty_stats() -> CompressionStats:

@@ -107,7 +107,7 @@ def serialize_float_column(column: CompressedFloatColumn) -> bytes:
 
 def deserialize_float_column(buffer: bytes) -> CompressedFloatColumn:
     """Inverse of :func:`serialize_float_column`."""
-    from repro.storage.serializer import _read_rd_vector
+    from repro.storage.serializer import _read_rd_vectors
 
     r = ByteReader(buffer)
     if r.raw(4) != MAGIC_F32:
@@ -134,10 +134,10 @@ def deserialize_float_column(buffer: bytes) -> CompressedFloatColumn:
             total_bits=32,
         )
         n_vectors = r.u16()
-        vectors = tuple(_read_rd_vector(r) for _ in range(n_vectors))
+        rd_vectors, _ = _read_rd_vectors(buffer, r.position, n_vectors)
         return CompressedFloatColumn(
             scheme="alprd",
-            vectors=vectors,
+            vectors=rd_vectors,
             rd_parameters=parameters,
             count=count,
         )

@@ -51,6 +51,9 @@ class FlakyServer:
         self._listener.listen(8)
         self.port = int(self._listener.getsockname()[1])
         self._stop = threading.Event()
+        self._lock = threading.Lock()
+        self._conns: list[socket.socket] = []
+        self._workers: list[threading.Thread] = []
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
@@ -65,9 +68,13 @@ class FlakyServer:
                 self._drop_connections -= 1
                 conn.close()
                 continue
-            threading.Thread(
+            worker = threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True
-            ).start()
+            )
+            with self._lock:
+                self._conns.append(conn)
+                self._workers.append(worker)
+            worker.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
         with conn:
@@ -102,9 +109,42 @@ class FlakyServer:
         return b"".join(chunks)
 
     def close(self) -> None:
+        """Stop accepting, drop every connection, join every thread.
+
+        Closing a listening socket does not wake a thread blocked in
+        ``accept()``; ``shutdown()`` does (it returns ``EINVAL``), and
+        likewise wakes connection threads blocked in ``recv()``.
+        """
         self._stop.set()
+        _shutdown(self._listener)
         self._listener.close()
         self._thread.join(timeout=5)
+        with self._lock:
+            conns, workers = list(self._conns), list(self._workers)
+        for conn in conns:
+            _shutdown(conn)
+        for worker in workers:
+            worker.join(timeout=5)
+
+
+def _shutdown(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already closed or never connected: nothing to wake
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Every thread a test starts must be gone when it returns."""
+    before = set(threading.enumerate())
+    yield
+    started = [t for t in threading.enumerate() if t not in before]
+    deadline = time.monotonic() + 5
+    for thread in started:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    leaked = [t for t in started if t.is_alive()]
+    assert not leaked, f"threads outlived the test: {leaked}"
 
 
 class TestConnectRetry:
